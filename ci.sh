@@ -23,7 +23,7 @@ cargo test -q -p relpat-eval parallel_report_matches_sequential
 echo "=== lexical index equivalence gate ==="
 cargo test -q -p relpat-qa --test lexical_equivalence
 
-echo "=== frozen-index equivalence gate ==="
+echo "=== index equivalence gate (built graph vs BTreeSet model) ==="
 cargo test -q -p relpat-rdf --test index_equivalence
 
 echo "=== planning equivalence gate (beam == exact top-k, Table-2 budget) ==="
@@ -77,5 +77,8 @@ cargo bench -p relpat-bench --bench store_scaling -- --smoke
 
 echo "=== bench-diff regression sentinel self-test ==="
 cargo run --release -q -p relpat-bench --bin bench-diff -- --smoke BENCH_store_scaling.json
+
+echo "=== qabench build + self-tests (compiles against the rdf/kb/sparql API) ==="
+cargo test --release --manifest-path qabench/Cargo.toml
 
 echo "CI OK"

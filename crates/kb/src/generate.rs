@@ -9,8 +9,8 @@
 
 use relpat_obs::Rng;
 use relpat_rdf::vocab::{self, dbont, rdf, rdfs, res};
-use relpat_rdf::{Graph, Iri, Literal, Term};
-use relpat_obs::fx::FxHashSet;
+use relpat_rdf::{GraphBuilder, Iri, Literal, Term};
+use relpat_obs::fx::{FxHashMap, FxHashSet};
 
 use crate::kb::KnowledgeBase;
 use crate::names;
@@ -124,16 +124,19 @@ pub fn generate(config: &KbConfig) -> KnowledgeBase {
     let mut gen = Generator::new(config.clone());
     gen.famous_entities();
     gen.bulk_entities();
-    gen.page_links();
-    let ontology = Ontology::dbpedia();
-    KnowledgeBase::from_graph(gen.graph, ontology)
+    let graph = gen.page_links();
+    KnowledgeBase::from_graph(graph.build(), Ontology::dbpedia())
 }
 
 struct Generator {
     config: KbConfig,
     rng: Rng,
-    graph: Graph,
-    used_iris: FxHashSet<String>,
+    graph: GraphBuilder,
+    /// Every minted entity IRI → the label [`Generator::entity`] gave it.
+    labels: FxHashMap<String, String>,
+    /// `(subject, object)` of every entity-to-entity fact [`Generator::obj`]
+    /// recorded: the input of [`Generator::page_links`].
+    links: Vec<(Iri, Iri)>,
     // Entity registries used for cross-links while generating.
     countries: Vec<Iri>,
     cities: Vec<Iri>,
@@ -155,13 +158,14 @@ struct Generator {
 
 impl Generator {
     fn new(config: KbConfig) -> Self {
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         Ontology::dbpedia().materialize(&mut graph);
         Generator {
             rng: Rng::seed_from_u64(config.seed),
             config,
             graph,
-            used_iris: FxHashSet::default(),
+            labels: FxHashMap::default(),
+            links: Vec::new(),
             countries: Vec::new(),
             cities: Vec::new(),
             persons: Vec::new(),
@@ -180,19 +184,19 @@ impl Generator {
     /// qualifier, DBpedia-style), `rdf:type`, `rdfs:label`.
     fn entity(&mut self, label: &str, class: &str) -> Iri {
         let mut iri_str = res::iri(label);
-        if self.used_iris.contains(&iri_str) {
+        if self.labels.contains_key(&iri_str) {
             // Qualify like DBpedia: Springfield_(2), Michael_Jordan_(scientist)
             let mut n = 2;
             loop {
                 let candidate = format!("{}_({n})", res::iri(label));
-                if !self.used_iris.contains(&candidate) {
+                if !self.labels.contains_key(&candidate) {
                     iri_str = candidate;
                     break;
                 }
                 n += 1;
             }
         }
-        self.used_iris.insert(iri_str.clone());
+        self.labels.insert(iri_str.clone(), label.to_string());
         let iri = Iri::new(iri_str);
         let term = Term::Iri(iri.clone());
         self.graph.add(term.clone(), Term::iri(rdf::TYPE), Term::iri(dbont::iri(class)));
@@ -205,6 +209,9 @@ impl Generator {
     }
 
     fn obj(&mut self, s: &Iri, prop: &str, o: &Iri) {
+        if s.as_str().starts_with(res::NS) && o.as_str().starts_with(res::NS) {
+            self.links.push((s.clone(), o.clone()));
+        }
         self.graph.add(
             Term::Iri(s.clone()),
             Term::iri(dbont::iri(prop)),
@@ -394,7 +401,7 @@ impl Generator {
         let existing: FxHashSet<String> = self
             .countries
             .iter()
-            .filter_map(|c| self.graph_label(c))
+            .filter_map(|c| self.label(c))
             .collect();
         let pool: Vec<&str> = names::COUNTRY_NAMES
             .iter()
@@ -406,7 +413,7 @@ impl Generator {
             .iter()
             .copied()
             .filter(|c| {
-                !self.used_iris.contains(&res::iri(c))
+                !self.labels.contains_key(&res::iri(c))
             })
             .collect();
 
@@ -422,7 +429,7 @@ impl Generator {
             }
             let cur_name = names::CURRENCY_NAMES[idx % names::CURRENCY_NAMES.len()];
             let cur_iri = res::iri(cur_name);
-            let currency = if self.used_iris.contains(&cur_iri) {
+            let currency = if self.labels.contains_key(&cur_iri) {
                 Iri::new(cur_iri)
             } else {
                 self.entity(cur_name, "Currency")
@@ -467,7 +474,7 @@ impl Generator {
         }
         for i in 0..self.config.universities {
             let city = pick_from(&mut self.rng, &self.cities);
-            let city_label = self.graph_label(&city).unwrap_or_else(|| format!("City{i}"));
+            let city_label = self.label(&city).unwrap_or_else(|| format!("City{i}"));
             let form = names::UNIVERSITY_CITY_FORMS[i % names::UNIVERSITY_CITY_FORMS.len()];
             let label = form.replace("{}", &city_label);
             let uni = self.entity(&label, "University");
@@ -744,24 +751,11 @@ impl Generator {
 
     /// Derives `dbont:wikiPageWikiLink` triples: one per object-property fact
     /// (both directions), a popularity boost for the famous athlete (every
-    /// basketball player links to him), and random noise links.
-    fn page_links(&mut self) {
+    /// basketball player links to him), and random noise links. The last
+    /// generation step: returns the finished builder.
+    fn page_links(mut self) -> GraphBuilder {
         let link = Term::iri(vocab::WIKI_PAGE_LINK);
-        let mut pairs: Vec<(Iri, Iri)> = Vec::new();
-        for t in self.graph.iter() {
-            let (Term::Iri(s), Term::Iri(p), Term::Iri(o)) =
-                (&t.subject, &t.predicate, &t.object)
-            else {
-                continue;
-            };
-            if p.as_str().starts_with(dbont::NS)
-                && s.as_str().starts_with(res::NS)
-                && o.as_str().starts_with(res::NS)
-            {
-                pairs.push((s.clone(), o.clone()));
-            }
-        }
-        for (s, o) in pairs {
+        for (s, o) in std::mem::take(&mut self.links) {
             self.graph.add(Term::Iri(s.clone()), link.clone(), Term::Iri(o.clone()));
             self.graph.add(Term::Iri(o), link.clone(), Term::Iri(s));
         }
@@ -780,13 +774,11 @@ impl Generator {
             let b = pick_from(&mut self.rng, &self.cities);
             self.graph.add(Term::Iri(a), link.clone(), Term::Iri(b));
         }
+        self.graph
     }
 
-    fn graph_label(&self, iri: &Iri) -> Option<String> {
-        self.graph
-            .objects_of(&Term::Iri(iri.clone()), &Term::iri(rdfs::LABEL))
-            .into_iter()
-            .find_map(|t| t.as_literal().map(|l| l.lexical_form().to_string()))
+    fn label(&self, iri: &Iri) -> Option<String> {
+        self.labels.get(iri.as_str()).cloned()
     }
 }
 

@@ -23,8 +23,8 @@ impl TermId {
 /// Bidirectional map between [`Term`] values and dense [`TermId`]s.
 ///
 /// Ids are never recycled; a term, once interned, stays resolvable for the
-/// lifetime of the interner. This is the right trade-off for a research store
-/// that only grows.
+/// lifetime of the interner. Ids follow first-seen order, which is what makes
+/// a graph's scan order depend only on its insertion order.
 #[derive(Debug, Default)]
 pub struct Interner {
     terms: Vec<Term>,
@@ -43,14 +43,6 @@ impl Interner {
 
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// Pre-sizes both sides of the map for `additional` more distinct terms.
-    /// Bulk loaders call this to avoid rehash/regrow churn while interning
-    /// millions of terms.
-    pub fn reserve(&mut self, additional: usize) {
-        self.terms.reserve(additional);
-        self.ids.reserve(additional);
     }
 
     /// Interns a term, returning its id. Idempotent.

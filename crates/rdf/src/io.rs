@@ -36,11 +36,7 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<Graph, RdfError> {
     } else {
         parse_turtle(&text)?
     };
-    let mut graph = Graph::new();
-    for t in &triples {
-        graph.insert(t);
-    }
-    Ok(graph)
+    Ok(triples.iter().collect())
 }
 
 #[cfg(test)]
@@ -49,10 +45,10 @@ mod tests {
     use crate::term::Term;
 
     fn sample() -> Graph {
-        let mut g = Graph::new();
+        let mut g = crate::graph::GraphBuilder::new();
         g.add(Term::iri("http://e/s"), Term::iri("http://e/p"), Term::literal("v"));
         g.add(Term::iri("http://e/s"), Term::iri("http://e/q"), Term::iri("http://e/o"));
-        g
+        g.build()
     }
 
     #[test]

@@ -76,9 +76,10 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let mut g = Graph::new();
+        let mut g = crate::graph::GraphBuilder::new();
         g.add(Term::iri("http://e/s"), Term::iri("http://e/p"), Term::literal("hello\nworld"));
         g.add(Term::iri("http://e/s"), Term::iri("http://e/q"), Term::iri("http://e/o"));
+        let g = g.build();
         let nt = to_ntriples(&g);
         let parsed = parse_ntriples(&nt).unwrap();
         assert_eq!(parsed.len(), 2);

@@ -1,19 +1,18 @@
-//! Differential equivalence suite for the frozen flat permutation indexes.
+//! Differential equivalence suite for the flat permutation indexes.
 //!
 //! The [`Graph`] under test keeps three sorted `Vec<[u32; 3]>` permutations
-//! plus a BTree delta/tombstone overlay; the reference model here is the
+//! built once by a [`GraphBuilder`]; the reference model here is the
 //! simplest possible store — one `BTreeSet` of index triples with linear
-//! filtering. Seeded random insert/remove/freeze interleavings drive both,
-//! and at every checkpoint all eight pattern shapes must agree, `estimate`
-//! must equal the exact scan cardinality, and `scan_iter` must match the
-//! materialized scan. Three regimes cover the overlay states: pure overlay
-//! (below the compaction threshold), mixed explicit freezes, and a bulk load
-//! that crosses the auto-compaction threshold followed by heavy churn.
+//! filtering. Seeded random multisets (duplicates included, in random
+//! order) feed both, and all eight pattern shapes must agree, `estimate`
+//! must equal the exact scan cardinality, `scan_iter` must match the
+//! materialized scan, and term ids must follow first-seen order. Sizes run
+//! from empty and singleton to well past 4096 entries.
 
 use std::collections::BTreeSet;
 
 use relpat_obs::Rng;
-use relpat_rdf::{Graph, IdPattern, Term, Triple};
+use relpat_rdf::{Graph, GraphBuilder, IdPattern, Term, Triple};
 
 /// Shared entity universe: subjects and objects draw from the same pool so
 /// OSP ranges interleave IRIs that also occur as subjects.
@@ -88,8 +87,8 @@ fn check_probe(g: &Graph, model: &Model, s: u32, p: u32, o: u32) {
     }
 }
 
-/// Full checkpoint: cardinality, whole-graph scan, and probe points drawn
-/// both from present triples and from the raw universe (absent positions).
+/// Full check: cardinality, whole-graph scan, and probe points drawn both
+/// from present triples and from the raw universe (absent positions).
 fn checkpoint(g: &Graph, model: &Model, rng: &mut Rng) {
     assert_eq!(g.len(), model.len(), "triple count");
     let all: BTreeSet<Triple> = g.iter().collect();
@@ -112,158 +111,86 @@ fn checkpoint(g: &Graph, model: &Model, rng: &mut Rng) {
     }
 }
 
-/// Drives `ops` random operations against both stores. `freeze_p` is the
-/// per-op probability of an explicit freeze; removals target present triples
-/// half of the time so tombstones actually exercise the frozen index.
-fn run_regime(seed: u64, ops: usize, freeze_p: f64, remove_p: f64, checkpoint_every: usize) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut g = Graph::new();
-    let mut model: Model = BTreeSet::new();
-
-    for step in 0..ops {
-        if rng.gen_bool(freeze_p) {
-            g.freeze();
-            assert_eq!(g.overlay_len(), 0, "freeze must drain the overlay");
-        } else if !model.is_empty() && rng.gen_bool(remove_p) {
-            let (s, p, o) = if rng.gen_bool(0.5) {
-                let nth = rng.gen_range(0..model.len());
-                *model.iter().nth(nth).expect("in range")
-            } else {
-                (
-                    rng.gen_range(0..ENTITIES),
-                    rng.gen_range(0..PREDICATES),
-                    rng.gen_range(0..ENTITIES),
-                )
-            };
-            let was = model.remove(&(s, p, o));
-            assert_eq!(g.remove(&triple(s, p, o)), was, "remove ({s},{p},{o})");
-        } else {
-            let (s, p, o) = (
+/// A random multiset of `n` draws from the universe: with 40 × 6 × 40
+/// possible triples, larger draws repeat many of them.
+fn random_multiset(rng: &mut Rng, n: usize) -> Vec<(u32, u32, u32)> {
+    (0..n)
+        .map(|_| {
+            (
                 rng.gen_range(0..ENTITIES),
                 rng.gen_range(0..PREDICATES),
                 rng.gen_range(0..ENTITIES),
-            );
-            let fresh = model.insert((s, p, o));
-            assert_eq!(g.insert(&triple(s, p, o)), fresh, "insert ({s},{p},{o})");
-        }
-        if (step + 1) % checkpoint_every == 0 {
-            checkpoint(&g, &model, &mut rng);
+            )
+        })
+        .collect()
+}
+
+/// Builds the graph from `draws` in order and the model from the same
+/// draws, then checks the two agree everywhere.
+fn build_and_check(draws: &[(u32, u32, u32)], rng: &mut Rng) -> Graph {
+    let mut builder = GraphBuilder::new();
+    for &(s, p, o) in draws {
+        builder.insert(&triple(s, p, o));
+    }
+    let g = builder.build();
+    let model: Model = draws.iter().copied().collect();
+    checkpoint(&g, &model, rng);
+
+    // Term ids follow first-seen order across the whole insertion stream.
+    let mut first_seen: Vec<Term> = Vec::new();
+    for &(s, p, o) in draws {
+        for term in [entity(s), predicate(p), entity(o)] {
+            if !first_seen.contains(&term) {
+                first_seen.push(term);
+            }
         }
     }
-    checkpoint(&g, &model, &mut rng);
+    let interned: Vec<&Term> = g.interner().iter().map(|(_, t)| t).collect();
+    assert_eq!(interned, first_seen.iter().collect::<Vec<_>>(), "first-seen interning");
+    g
 }
 
 #[test]
-fn overlay_regime_matches_reference() {
-    // Small enough that the overlay never hits the compaction threshold:
-    // every read merges frozen (possibly empty) with a live delta.
-    run_regime(11, 400, 0.02, 0.25, 80);
-}
-
-#[test]
-fn mixed_freeze_regime_matches_reference() {
-    // Frequent explicit freezes interleave tombstone creation, resurrection
-    // and re-freezing across several seeds.
-    for seed in [1, 2, 3, 4] {
-        run_regime(seed, 1200, 0.05, 0.35, 200);
+fn builder_matches_reference_at_every_size() {
+    // Empty, singleton, small, 4096 entries and one past it, and about 6k
+    // draws; several seeds each.
+    for &n in &[0usize, 1, 2, 50, 1000, 4096, 4097, 6000] {
+        for seed in 0..3u64 {
+            let mut rng = Rng::seed_from_u64(n as u64 * 31 + seed);
+            let draws = random_multiset(&mut rng, n);
+            build_and_check(&draws, &mut rng);
+        }
     }
 }
 
 #[test]
-fn compacted_regime_matches_reference() {
-    // Bulk phase crosses MIN_COMPACT_OVERLAY (4096) so auto-compaction fires
-    // mid-load, then heavy churn stresses tombstones over a large frozen set.
+fn builder_is_order_independent_at_the_term_level() {
+    // The same multiset in shuffled orders, with every triple repeated:
+    // ids differ, but every term-level scan sees the same set.
     let mut rng = Rng::seed_from_u64(77);
-    let mut g = Graph::new();
-    let mut model: Model = BTreeSet::new();
-    for _ in 0..6000 {
-        let (s, p, o) = (
-            rng.gen_range(0..ENTITIES),
-            rng.gen_range(0..PREDICATES),
-            rng.gen_range(0..ENTITIES),
-        );
-        let fresh = model.insert((s, p, o));
-        assert_eq!(g.insert(&triple(s, p, o)), fresh);
-    }
-    assert!(
-        g.overlay_len() < 6000,
-        "bulk load should have auto-compacted at least once"
-    );
-    checkpoint(&g, &model, &mut rng);
-
-    for step in 0..600 {
-        if !model.is_empty() && rng.gen_bool(0.5) {
-            let nth = rng.gen_range(0..model.len());
-            let key = *model.iter().nth(nth).expect("in range");
-            model.remove(&key);
-            assert!(g.remove(&triple(key.0, key.1, key.2)));
-        } else {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            let fresh = model.insert((s, p, o));
-            assert_eq!(g.insert(&triple(s, p, o)), fresh);
+    let mut draws = random_multiset(&mut rng, 6000);
+    let repeats = draws.clone();
+    draws.extend(repeats);
+    let reference = build_and_check(&draws, &mut rng);
+    let want: BTreeSet<Triple> = reference.iter().collect();
+    for _ in 0..3 {
+        for i in (1..draws.len()).rev() {
+            draws.swap(i, rng.gen_range(0..=i));
         }
-        if (step + 1) % 150 == 0 {
-            checkpoint(&g, &model, &mut rng);
-        }
-    }
-    g.freeze();
-    checkpoint(&g, &model, &mut rng);
-}
-
-#[test]
-fn estimate_is_exact_at_every_scale_regime() {
-    // Scale sweep: empty, singleton, overlay-sized, and past the compaction
-    // threshold. At each size, before and after freeze, estimate == scan len
-    // for every shape at several probe points.
-    for &n in &[0usize, 1, 50, 1000, 6000] {
-        let mut rng = Rng::seed_from_u64(n as u64 + 1000);
-        let mut g = Graph::new();
-        let mut model: Model = BTreeSet::new();
-        for _ in 0..n {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            model.insert((s, p, o));
-            g.insert(&triple(s, p, o));
-        }
-        checkpoint(&g, &model, &mut rng);
-        g.freeze();
-        checkpoint(&g, &model, &mut rng);
+        let g = build_and_check(&draws, &mut rng);
+        assert_eq!(g.iter().collect::<BTreeSet<Triple>>(), want);
     }
 }
 
 #[test]
-fn predicates_agree_with_reference_under_churn() {
-    let mut rng = Rng::seed_from_u64(5150);
-    let mut g = Graph::new();
-    let mut model: Model = BTreeSet::new();
-    for step in 0..800 {
-        if !model.is_empty() && rng.gen_bool(0.4) {
-            let nth = rng.gen_range(0..model.len());
-            let key = *model.iter().nth(nth).expect("in range");
-            model.remove(&key);
-            g.remove(&triple(key.0, key.1, key.2));
-        } else {
-            let (s, p, o) = (
-                rng.gen_range(0..ENTITIES),
-                rng.gen_range(0..PREDICATES),
-                rng.gen_range(0..ENTITIES),
-            );
-            model.insert((s, p, o));
-            g.insert(&triple(s, p, o));
-        }
-        if step == 400 {
-            g.freeze();
-        }
-        let want: BTreeSet<Term> =
-            model.iter().map(|&(_, p, _)| predicate(p)).collect();
-        let got: BTreeSet<Term> = g.predicates().into_iter().collect();
-        assert_eq!(got, want, "predicate set after step {step}");
+fn predicates_agree_with_reference() {
+    for &n in &[0usize, 1, 10, 800] {
+        let mut rng = Rng::seed_from_u64(5150 + n as u64);
+        let draws = random_multiset(&mut rng, n);
+        let g = build_and_check(&draws, &mut rng);
+        let want: BTreeSet<Term> = draws.iter().map(|&(_, p, _)| predicate(p)).collect();
+        let got: Vec<Term> = g.predicates();
+        assert_eq!(got.len(), want.len(), "predicates are distinct, n = {n}");
+        assert_eq!(got.into_iter().collect::<BTreeSet<Term>>(), want, "n = {n}");
     }
 }

@@ -341,20 +341,10 @@ impl App {
         };
         self.refresh_gauges();
         let kb = pipeline.kb();
-        let stats = kb.graph.stats();
         let (cache_len, cache_capacity) = kb.cache_occupancy();
         let cache = kb.cache_stats();
         let body = Json::obj()
-            .set(
-                "graph",
-                Json::obj()
-                    .set("frozen_triples", stats.frozen_triples)
-                    .set("triples", stats.triples)
-                    .set("overlay_len", stats.overlay_len)
-                    .set("tombstones", stats.tombstones)
-                    .set("compactions", stats.compactions)
-                    .set("last_freeze_nanos", stats.last_freeze_nanos),
-            )
+            .set("graph", Json::obj().set("triples", kb.graph.len()))
             .set(
                 "query_cache",
                 Json::obj()
@@ -375,13 +365,7 @@ impl App {
     fn refresh_gauges(&self) {
         if let Some(pipeline) = self.pipeline.get() {
             let kb = pipeline.kb();
-            let stats = kb.graph.stats();
-            gauge!("store.frozen_triples", stats.frozen_triples);
-            gauge!("store.triples", stats.triples);
-            gauge!("store.overlay_len", stats.overlay_len);
-            gauge!("store.tombstones", stats.tombstones);
-            gauge!("store.compactions", stats.compactions);
-            gauge!("store.last_freeze_nanos", stats.last_freeze_nanos);
+            gauge!("store.triples", kb.graph.len());
             let (len, capacity) = kb.cache_occupancy();
             gauge!("sparql.cache.len", len);
             gauge!("sparql.cache.capacity", capacity);

@@ -6,7 +6,7 @@
 //! Query strings are split on `&`/`=` without percent-decoding — every
 //! parameter this server accepts is a plain integer.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use relpat_obs::Json;
 
@@ -55,14 +55,27 @@ impl From<io::Error> for ReadError {
     }
 }
 
+/// Reads one line of the request head, never more than one byte past the
+/// remaining [`MAX_HEAD_BYTES`] budget: a peer that never sends a newline
+/// cannot make the server buffer an unbounded line.
+fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, ReadError> {
+    let budget = (MAX_HEAD_BYTES - *head_bytes + 1) as u64;
+    let mut line = String::new();
+    reader.take(budget).read_line(&mut line)?;
+    *head_bytes += line.len();
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(ReadError::Bad("request head too large"));
+    }
+    Ok(line)
+}
+
 /// Reads one request from the stream.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
     let mut head_bytes = 0usize;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let line = read_head_line(reader, &mut head_bytes)?;
+    if line.is_empty() {
         return Err(ReadError::Eof);
     }
-    head_bytes += line.len();
     let request_line = line.trim_end_matches(['\r', '\n']);
     let mut parts = request_line.split_ascii_whitespace();
     let method = parts.next().ok_or(ReadError::Bad("empty request line"))?.to_string();
@@ -87,13 +100,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = read_head_line(reader, &mut head_bytes)?;
+        if header.is_empty() {
             return Err(ReadError::Bad("truncated headers"));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::Bad("request head too large"));
         }
         let header = header.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
@@ -215,6 +224,47 @@ mod tests {
     fn oversized_content_length_is_rejected() {
         let raw = "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
         assert!(matches!(parse(raw), Err(ReadError::Bad(_))));
+    }
+
+    /// A request line of `remaining` bytes that never ends in a newline,
+    /// counting how many bytes the parser pulls from it.
+    struct EndlessLine {
+        remaining: usize,
+        consumed: usize,
+    }
+
+    impl Read for EndlessLine {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.remaining);
+            buf[..n].fill(b'a');
+            self.remaining -= n;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn unterminated_head_is_cut_off_at_the_limit() {
+        let mut line = EndlessLine { remaining: 64 << 20, consumed: 0 };
+        let mut reader = BufReader::new(&mut line);
+        let fill = reader.capacity();
+        let result = read_request(&mut reader);
+        assert!(matches!(result, Err(ReadError::Bad("request head too large"))), "{result:?}");
+        drop(reader);
+        assert!(
+            line.consumed <= MAX_HEAD_BYTES + fill,
+            "read {} bytes of an unterminated request line",
+            line.consumed
+        );
+    }
+
+    #[test]
+    fn head_within_the_limit_still_parses() {
+        let header = format!("X-Pad: {}\r\n", "p".repeat(MAX_HEAD_BYTES / 2));
+        let raw = format!("GET /health HTTP/1.1\r\n{header}\r\n");
+        assert_eq!(parse(&raw).unwrap().path, "/health");
+        let raw = format!("GET /health HTTP/1.1\r\n{header}{header}\r\n");
+        assert!(matches!(parse(&raw), Err(ReadError::Bad("request head too large"))));
     }
 
     #[test]

@@ -302,7 +302,7 @@ mod tests {
     use relpat_rdf::Term;
 
     fn graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = relpat_rdf::GraphBuilder::new();
         g.add(
             Term::iri(res::iri("Snow")),
             Term::iri(rdf::TYPE),
@@ -313,7 +313,7 @@ mod tests {
             Term::iri(dbont::iri("author")),
             Term::iri(res::iri("Orhan Pamuk")),
         );
-        g
+        g.build()
     }
 
     #[test]

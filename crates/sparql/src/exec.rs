@@ -548,8 +548,7 @@ fn join_steps(
         if algo != JoinAlgo::Nested
             && !join_batched(graph, tp, var_index, &bindings, algo, &mut next, &mut scanned)
         {
-            // The frozen index vanished under us (overlay write since
-            // planning) or the batch precondition failed: fall back.
+            // The batch's uniform-row precondition failed: fall back.
             algo = JoinAlgo::Nested;
             next = IdTable::new(bindings.width);
             scanned = scanned_before;
@@ -653,7 +652,7 @@ enum ProbePos {
 /// Batched sorted operators — merge and gallop. Both resolve the pattern's
 /// shape once from the first probe row (top-level BGP rows are uniform: every
 /// row binds exactly the variables earlier steps bound), route it to one
-/// frozen permutation slice, and locate each **distinct** probe key's range
+/// permutation slice, and locate each **distinct** probe key's range
 /// exactly once — merge with a forward cursor over non-decreasing keys,
 /// gallop by sorting + deduplicating the keys and `partition_point`-searching
 /// a strictly shrinking tail. `scanned` counts each distinct range once,
@@ -664,9 +663,8 @@ enum ProbePos {
 /// preservation is what keeps the binding stream sorted for downstream merge
 /// steps and the solution sequence bit-identical to the nested loop's.
 ///
-/// Returns `false` when the batch cannot run (the graph has grown an overlay
-/// since planning, or a supposedly bound variable is unbound in some row);
-/// the caller falls back to [`join_nested`].
+/// Returns `false` when the batch cannot run (a supposedly bound variable is
+/// unbound in some row); the caller falls back to [`join_nested`].
 fn join_batched(
     graph: &Graph,
     tp: &TriplePattern,
@@ -718,9 +716,7 @@ fn join_batched(
         })
     };
     let Some(rep) = representative(first) else { return false };
-    // `None` means the overlay is non-empty: the frozen slices alone no
-    // longer tell the whole truth and only the nested loop is correct.
-    let Some(probe) = graph.frozen_probe(rep) else { return false };
+    let probe = graph.frozen_probe(rep);
 
     // Every row's permuted probe key. All rows share the pattern's
     // Some/None structure, so they all route to `probe`'s permutation.
@@ -1019,9 +1015,10 @@ fn apply_cmp(l: &Value, op: CmpOp, r: &Value) -> bool {
     }
 }
 
-/// Three-way comparison across value kinds: numeric when both sides are
+/// FILTER comparison across value kinds: numeric when both sides are
 /// numeric, term identity for IRIs, otherwise lexical-form string comparison
-/// (which orders ISO dates correctly).
+/// (which orders ISO dates correctly). Not a total order across kinds
+/// (9 < 10, yet "10" < "8x" < "9"), so sorting uses [`compare_values`].
 fn compare_raw(l: &Value, r: &Value) -> Ordering {
     if let (Some(a), Some(b)) = (l.as_num(), r.as_num()) {
         return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
@@ -1032,14 +1029,26 @@ fn compare_raw(l: &Value, r: &Value) -> Ordering {
     l.as_str_lossy().cmp(&r.as_str_lossy())
 }
 
-/// Comparison for ORDER BY keys: unbound (None) sorts first, per SPARQL.
+/// The total order ORDER BY sorts by: first a fixed rank per kind — unbound
+/// (first, per SPARQL), IRIs, numbers, then every other lexical form — and
+/// within a kind as [`compare_raw`], with numbers (NaN included) compared by
+/// `f64::total_cmp`.
 fn compare_values(l: &Option<Value>, r: &Option<Value>) -> Ordering {
-    match (l, r) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(a), Some(b)) => compare_raw(a, b),
+    fn rank(v: &Option<Value>) -> u8 {
+        match v {
+            None => 0,
+            Some(Value::Term(Term::Iri(_))) => 1,
+            Some(v) if v.as_num().is_some() => 2,
+            Some(_) => 3,
+        }
     }
+    rank(l).cmp(&rank(r)).then_with(|| match (l, r) {
+        (Some(a), Some(b)) => match (a.as_num(), b.as_num()) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            _ => compare_raw(a, b),
+        },
+        _ => Ordering::Equal,
+    })
 }
 
 /// Minimal regex dialect: `^` anchors at the start, `$` at the end, and the
@@ -1067,10 +1076,14 @@ fn simple_regex_match(text: &str, pattern: &str, case_insensitive: bool) -> bool
 mod tests {
     use super::*;
     use relpat_rdf::vocab::{dbont, rdf, res};
-    use relpat_rdf::Literal;
+    use relpat_rdf::{GraphBuilder, Literal};
 
     fn library() -> Graph {
-        let mut g = Graph::new();
+        library_builder().build()
+    }
+
+    fn library_builder() -> GraphBuilder {
+        let mut g = GraphBuilder::new();
         let ty = Term::iri(rdf::TYPE);
         let book = Term::iri(dbont::iri("Book"));
         let writer = Term::iri(dbont::iri("writer"));
@@ -1191,10 +1204,43 @@ mod tests {
     }
 
     #[test]
+    fn order_by_is_a_total_order_across_kinds() {
+        // Numbers against numbers compare numerically but against strings
+        // lexically, so without a kind rank 9 < 10 < "8x" < 9 is a cycle and
+        // the sorted order depends on the input order.
+        let objects = [
+            Term::Literal(Literal::integer(9)),
+            Term::Literal(Literal::integer(10)),
+            Term::literal("8x"),
+        ];
+        let want: Vec<Vec<Option<Term>>> =
+            objects.iter().map(|o| vec![Some(o.clone())]).collect();
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let mut g = GraphBuilder::new();
+            for i in order {
+                g.add(Term::iri(format!("s{i}")), Term::iri("p"), objects[i].clone());
+            }
+            let sols = select(&g.build(), "SELECT ?o { ?s <p> ?o } ORDER BY ?o");
+            assert_eq!(sols.rows, want, "insertion order {order:?}");
+        }
+        let keys: Vec<Option<Value>> = objects.iter().map(|o| Some(term_value(o))).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_eq!(compare_values(a, b), Ordering::Less, "{a:?} vs {b:?}");
+            }
+        }
+        let nan = Some(Value::Num(f64::NAN));
+        assert_eq!(compare_values(&nan, &nan), Ordering::Equal);
+        assert_eq!(compare_values(&nan, &Some(Value::Num(1.0))), Ordering::Greater);
+        assert_eq!(compare_values(&None, &nan), Ordering::Less);
+    }
+
+    #[test]
     fn repeated_variable_consistency() {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.add(Term::iri("a"), Term::iri("p"), Term::iri("a"));
         g.add(Term::iri("a"), Term::iri("p"), Term::iri("b"));
+        let g = g.build();
         let sols = select(&g, "SELECT ?x { ?x <p> ?x }");
         assert_eq!(sols.rows.len(), 1);
     }
@@ -1255,13 +1301,14 @@ mod tests {
 
     #[test]
     fn optional_left_join_keeps_unmatched_rows() {
-        let mut g = library();
+        let mut g = library_builder();
         // Only Pamuk gets a birth place.
         g.add(
             Term::iri(res::iri("Orhan Pamuk")),
             Term::iri(dbont::iri("birthPlace")),
             Term::iri(res::iri("Istanbul")),
         );
+        let g = g.build();
         let sols = select(
             &g,
             "SELECT ?w ?p { ?x dbont:writer ?w OPTIONAL { ?w dbont:birthPlace ?p } }",
@@ -1285,12 +1332,13 @@ mod tests {
 
     #[test]
     fn union_concatenates_alternatives() {
-        let mut g = library();
+        let mut g = library_builder();
         g.add(
             Term::iri(res::iri("Snow")),
             Term::iri(dbont::iri("author")),
             Term::iri(res::iri("Orhan Pamuk")),
         );
+        let g = g.build();
         let sols = select(
             &g,
             "SELECT ?x { { ?x dbont:writer res:Orhan_Pamuk } UNION { ?x dbont:author res:Orhan_Pamuk } }",
@@ -1398,12 +1446,13 @@ mod tests {
 
     #[test]
     fn cross_pattern_join_on_shared_variable() {
-        let mut g = library();
+        let mut g = library_builder();
         g.add(
             Term::iri(res::iri("Orhan Pamuk")),
             Term::iri(dbont::iri("birthPlace")),
             Term::iri(res::iri("Istanbul")),
         );
+        let g = g.build();
         let sols = select(
             &g,
             "SELECT ?b ?c { ?b dbont:writer ?w . ?w dbont:birthPlace ?c }",

@@ -124,3 +124,12 @@ fn distinct_interacts_with_union_and_projection() {
     assert_eq!(raw % 2, 0, "duplicated union must double rows");
     assert!(distinct <= raw / 2);
 }
+
+#[test]
+fn order_by_over_every_object_kind_succeeds() {
+    // The object column mixes IRIs, numbers, dates and language-tagged
+    // strings; sorting it needs a total order across kinds.
+    let q = "SELECT ?o { ?s ?p ?o } ORDER BY ?o";
+    assert!(query(&kb().graph, q).is_ok());
+    assert_eq!(rows(q), kb().len());
+}

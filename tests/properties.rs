@@ -11,7 +11,7 @@
 use relpat::nlp::{lemmatize, tokenize, PosTag};
 use relpat::obs::Rng;
 use relpat::qa::{lcs_len, lcs_score};
-use relpat::rdf::{load_turtle, to_turtle, Graph, Literal, Term, Triple};
+use relpat::rdf::{load_turtle, to_turtle, Graph, GraphBuilder, IdPattern, Literal, Term, Triple};
 use relpat::sparql::query;
 use relpat::wordnet::{embedded, WnPos};
 
@@ -74,10 +74,7 @@ fn sweep(test_tag: u64, body: impl Fn(&mut Rng)) {
 fn store_membership_matches_inserted_set() {
     sweep(1, |rng| {
         let triples = arb_triples(rng, 0, 40);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g: Graph = triples.iter().collect();
         // Set semantics: length equals the number of distinct triples.
         let mut distinct = triples.clone();
         distinct.sort();
@@ -98,10 +95,7 @@ fn store_pattern_scans_agree_with_naive_filter() {
     sweep(2, |rng| {
         let triples = arb_triples(rng, 1, 30);
         let probe_idx = rng.gen_range(0usize..triples.len());
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g: Graph = triples.iter().collect();
         let probe = &triples[probe_idx];
         let all: Vec<Triple> = g.iter().collect();
 
@@ -128,18 +122,37 @@ fn store_pattern_scans_agree_with_naive_filter() {
 }
 
 #[test]
-fn store_remove_is_inverse_of_insert() {
+fn store_builder_collapses_shuffled_multisets() {
     sweep(3, |rng| {
+        // A multiset: every triple appears one to three times, in shuffled
+        // insertion order.
         let triples = arb_triples(rng, 1, 25);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
+        let mut multiset: Vec<&Triple> = triples
+            .iter()
+            .flat_map(|t| std::iter::repeat_n(t, rng.gen_range(1usize..=3)))
+            .collect();
+        for i in (1..multiset.len()).rev() {
+            multiset.swap(i, rng.gen_range(0..=i));
         }
-        for t in &triples {
-            g.remove(t);
+        let g: Graph = multiset.iter().copied().collect();
+        let mut want = triples.clone();
+        want.sort();
+        want.dedup();
+        let mut got: Vec<Triple> = g.iter().collect();
+        got.sort();
+        assert_eq!(got, want);
+
+        let probe = &triples[rng.gen_range(0usize..triples.len())];
+        let id = |t: &Term| g.term_id(t).expect("inserted terms are interned");
+        let (s, p, o) = (id(&probe.subject), id(&probe.predicate), id(&probe.object));
+        for mask in 0..8u8 {
+            let pat = IdPattern {
+                subject: (mask & 1 != 0).then_some(s),
+                predicate: (mask & 2 != 0).then_some(p),
+                object: (mask & 4 != 0).then_some(o),
+            };
+            assert_eq!(g.estimate(pat), g.scan(pat).len(), "mask {mask}");
         }
-        assert!(g.is_empty());
-        assert!(g.triples_matching(None, None, None).is_empty());
     });
 }
 
@@ -149,10 +162,7 @@ fn store_remove_is_inverse_of_insert() {
 fn sparql_spo_query_agrees_with_store() {
     sweep(4, |rng| {
         let triples = arb_triples(rng, 1, 25);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g: Graph = triples.iter().collect();
         let sols = query(&g, "SELECT ?s ?p ?o { ?s ?p ?o }").unwrap().into_solutions().unwrap();
         assert_eq!(sols.len(), g.len());
         // A bound-subject query returns exactly that subject's triples.
@@ -168,10 +178,7 @@ fn sparql_limit_caps_results() {
     sweep(5, |rng| {
         let triples = arb_triples(rng, 1, 25);
         let limit = rng.gen_range(0usize..10);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g: Graph = triples.iter().collect();
         let sols = query(&g, &format!("SELECT ?s {{ ?s ?p ?o }} LIMIT {limit}"))
             .unwrap()
             .into_solutions().unwrap();
@@ -186,13 +193,11 @@ fn sparql_limit_caps_results() {
 fn turtle_round_trip_preserves_graph() {
     sweep(6, |rng| {
         let triples = arb_triples(rng, 0, 25);
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let g: Graph = triples.iter().collect();
         let ttl = to_turtle(&g);
-        let mut g2 = Graph::new();
+        let mut g2 = GraphBuilder::new();
         load_turtle(&mut g2, &ttl).unwrap();
+        let g2 = g2.build();
         assert_eq!(g.len(), g2.len());
         for t in g.iter() {
             assert!(g2.contains(&t), "lost {t}");
