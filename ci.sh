@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repository CI gate: release build, full test suite, and lint-clean clippy
-# across every target (libs, bins, tests, benches). The workspace has zero
-# external dependencies, so this runs fully offline.
+# Repository CI gate: release build, full test suite, lint-clean clippy
+# across every target (libs, bins, tests, benches) and warning-free rustdoc.
+# The workspace has zero external dependencies, so this runs fully offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -17,10 +17,14 @@ cargo test -q --workspace
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets --workspace -- -D warnings
 
+echo "=== RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace ==="
+# Broken intra-doc links (e.g. to a removed config knob) fail the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "=== parallel-eval determinism gate ==="
 cargo test -q -p relpat-eval parallel_report_matches_sequential
 
-echo "=== lexical index equivalence gate ==="
+echo "=== lexical index soundness gate (index vs brute-force oracle) ==="
 cargo test -q -p relpat-qa --test lexical_equivalence
 
 echo "=== index equivalence gate (built graph vs BTreeSet model) ==="

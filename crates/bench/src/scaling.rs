@@ -5,7 +5,7 @@
 //! `repro-profile --bench-json` (which writes the committed
 //! `BENCH_store_scaling.json` trajectory file) cannot drift apart.
 //!
-//! Queries run through [`relpat_kb::Kb::query_uncached`]: the trajectory
+//! Queries run through [`relpat_kb::KnowledgeBase::query_uncached`]: the trajectory
 //! tracks the triple store's join latency, which the result cache would
 //! otherwise hide after the first iteration.
 

@@ -35,8 +35,8 @@ mod similarity;
 mod triples;
 
 pub use answer::{
-    extract_answer, extract_answer_traced, type_check, Answer, AnswerConfig, AnswerValue,
-    ExecStats,
+    extract_answer, extract_answer_explained, extract_answer_traced, type_check, Answer,
+    AnswerConfig, AnswerValue, ExecStats,
 };
 pub use baseline::{BaselineAnswer, KeywordBaseline, TemplateBaseline};
 pub use extensions::ExtensionConfig;

@@ -98,12 +98,6 @@ pub struct MappingConfig {
     pub entity_sim_threshold: f64,
     /// Keep at most this many pattern candidates per predicate.
     pub max_pattern_candidates: usize,
-    /// Route entity/property string-similarity scans through the KB's
-    /// prebuilt [`relpat_kb::LexicalIndex`] instead of brute-force label
-    /// scans. Candidates are bit-identical either way (the index only
-    /// prunes provably below-threshold entries); the flag is the escape
-    /// hatch and the lever for the equivalence test.
-    pub use_lexical_index: bool,
 }
 
 impl Default for MappingConfig {
@@ -116,7 +110,6 @@ impl Default for MappingConfig {
             string_sim_threshold: 0.7,
             entity_sim_threshold: 0.85,
             max_pattern_candidates: 5,
-            use_lexical_index: true,
         }
     }
 }
@@ -261,9 +254,10 @@ impl Mapper<'_> {
     // --------------------------------------------------------------- entities
 
     /// Candidate entities for a mention (exact normalized label, then fuzzy).
-    /// The fuzzy scan goes through the lexical index unless the escape-hatch
-    /// flag is off; either way the query is normalized (hence lowercased)
-    /// once and scored with a shared DP scratch.
+    /// The fuzzy path rescores the KB lexical index's candidates with the
+    /// exact LCS; the query is normalized (hence lowercased) once and scored
+    /// with a shared DP scratch. Each entity appears once, at the score of
+    /// its best-matching label.
     pub fn entity_pool(&self, text: &str) -> Vec<Iri> {
         let exact = self.kb.entities_with_label(text);
         if !exact.is_empty() {
@@ -273,29 +267,26 @@ impl Mapper<'_> {
         let threshold = self.config.entity_sim_threshold;
         let mut scratch = LcsScratch::default();
         let mut scored: Vec<(f64, &Iri)> = Vec::new();
-        if self.config.use_lexical_index {
-            for (label, iris) in self.kb.lexical().entity_candidates(&norm, threshold) {
-                let s = lcs_score_pre(&norm, label, &mut scratch);
-                if s >= threshold {
-                    for iri in iris {
-                        scored.push((s, iri));
-                    }
-                }
-            }
-        } else {
-            for (label, iris) in self.kb.labels_iter() {
-                let s = lcs_score_pre(&norm, label, &mut scratch);
-                if s >= threshold {
-                    for iri in iris {
-                        scored.push((s, iri));
-                    }
-                }
+        for (label, iris) in self.kb.lexical().entity_candidates(&norm, threshold) {
+            let s = lcs_score_pre(&norm, label, &mut scratch);
+            if s >= threshold {
+                scored.extend(iris.iter().map(|iri| (s, iri)));
             }
         }
-        // Equal-score ties break on the IRI so the top-5 truncation is
-        // stable regardless of label iteration order.
+        // Best score first; equal-score ties break on the IRI so the top-5
+        // truncation is stable. An entity's first entry is then its
+        // best-scoring label, so later repeats are dropped.
         scored.sort_by(|(sa, ia), (sb, ib)| sb.total_cmp(sa).then_with(|| ia.cmp(ib)));
-        scored.into_iter().take(5).map(|(_, iri)| iri.clone()).collect()
+        let mut pool: Vec<Iri> = Vec::with_capacity(5);
+        for (_, iri) in scored {
+            if pool.len() == 5 {
+                break;
+            }
+            if !pool.contains(iri) {
+                pool.push(iri.clone());
+            }
+        }
+        pool
     }
 
     /// §2.2.5: disambiguation by string similarity + page-link centrality.
@@ -398,7 +389,7 @@ impl Mapper<'_> {
     /// Shared §2.2.1/§2.2.2 scan: both the word and its lemma against one
     /// property family. The word pair is lowercased once; the lexical index
     /// narrows the family to entries that can clear the threshold, and
-    /// survivors are rescored exactly (in ontology order either way).
+    /// survivors are rescored exactly, in ontology order.
     fn string_sim_properties(
         &self,
         text: &str,
@@ -409,7 +400,7 @@ impl Mapper<'_> {
         let threshold = self.config.string_sim_threshold;
         let (text_l, lemma_l) = (text.to_lowercase(), lemma.to_lowercase());
         let mut scratch = LcsScratch::default();
-        let mut score_and_push = |name: &str, label: &str| {
+        for (name, label) in self.indexed_properties(is_data, &[&lemma_l, &text_l], threshold) {
             let s = property_name_score_pre(&lemma_l, name, label, &mut scratch)
                 .max(property_name_score_pre(&text_l, name, label, &mut scratch));
             if s >= threshold {
@@ -421,34 +412,31 @@ impl Mapper<'_> {
                     source: CandidateSource::StringSimilarity,
                 });
             }
-        };
-        if is_data {
-            let props = &self.kb.ontology.data_properties;
-            if self.config.use_lexical_index {
-                let hits =
-                    self.kb.lexical().data_property_candidates(&[&lemma_l, &text_l], threshold);
-                for i in hits {
-                    score_and_push(props[i].name, props[i].label);
-                }
-            } else {
-                for p in props {
-                    score_and_push(p.name, p.label);
-                }
-            }
-        } else {
-            let props = &self.kb.ontology.object_properties;
-            if self.config.use_lexical_index {
-                let hits =
-                    self.kb.lexical().object_property_candidates(&[&lemma_l, &text_l], threshold);
-                for i in hits {
-                    score_and_push(props[i].name, props[i].label);
-                }
-            } else {
-                for p in props {
-                    score_and_push(p.name, p.label);
-                }
-            }
         }
+    }
+
+    /// `(name, label)` of the object or data properties the lexical index
+    /// keeps for the lowercased `words` at `threshold`, in ontology order.
+    fn indexed_properties(
+        &self,
+        is_data: bool,
+        words: &[&str],
+        threshold: f64,
+    ) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
+        let lexical = self.kb.lexical();
+        let hits = if is_data {
+            lexical.data_property_candidates(words, threshold)
+        } else {
+            lexical.object_property_candidates(words, threshold)
+        };
+        let ontology = &self.kb.ontology;
+        hits.into_iter().map(move |i| {
+            if is_data {
+                (ontology.data_properties[i].name, ontology.data_properties[i].label)
+            } else {
+                (ontology.object_properties[i].name, ontology.object_properties[i].label)
+            }
+        })
     }
 
     /// Data properties whose name/label matches a given noun near-exactly.
@@ -461,8 +449,7 @@ impl Mapper<'_> {
     ) {
         let noun_l = noun.to_lowercase();
         let mut scratch = LcsScratch::default();
-        let props = &self.kb.ontology.data_properties;
-        let mut check_and_push = |name: &str, label: &str| {
+        for (name, label) in self.indexed_properties(true, &[&noun_l], 0.9) {
             if property_name_score_pre(&noun_l, name, label, &mut scratch) >= 0.9 {
                 out.push(PropertyCandidate {
                     property: name.to_string(),
@@ -471,15 +458,6 @@ impl Mapper<'_> {
                     weight,
                     source,
                 });
-            }
-        };
-        if self.config.use_lexical_index {
-            for i in self.kb.lexical().data_property_candidates(&[&noun_l], 0.9) {
-                check_and_push(props[i].name, props[i].label);
-            }
-        } else {
-            for p in props {
-                check_and_push(p.name, p.label);
             }
         }
     }
@@ -756,6 +734,23 @@ mod tests {
         let e = m.resolve_entity("Orhan Pamuk", &[]).unwrap();
         assert!(e.iri.as_str().ends_with("Orhan_Pamuk"));
         assert_eq!(e.label, "Orhan Pamuk");
+    }
+
+    #[test]
+    fn entity_pool_lists_each_entity_once() {
+        // A second label that also clears the threshold must not give the
+        // entity a second top-5 slot.
+        use relpat_kb::Ontology;
+        use relpat_rdf::{vocab::rdfs, GraphBuilder, Literal, Term};
+        let pamuk = Iri::new(relpat_rdf::vocab::res::iri("Orhan Pamuk"));
+        let mut builder = GraphBuilder::new();
+        for t in fixture().kb.graph.iter() {
+            builder.insert(&t);
+        }
+        builder.add(pamuk.clone(), Term::iri(rdfs::LABEL), Literal::plain("Orhan Pamuka"));
+        let kb = KnowledgeBase::from_graph(builder.build(), Ontology::dbpedia());
+        let m = Mapper { kb: &kb, ..mapper() };
+        assert_eq!(m.entity_pool("orhan pamukx"), vec![pamuk]);
     }
 
     #[test]

@@ -108,10 +108,9 @@ impl Response {
     /// paper's §2 narrative for this question.
     ///
     /// Defined as exactly [`QuestionTrace::render`] over [`Self::trace`],
-    /// so the explanation can never drift from the structured trace. The
-    /// `kb` parameter is kept for API stability (answer labels are resolved
-    /// into the trace when the response is built).
-    pub fn explain(&self, _kb: &KnowledgeBase) -> String {
+    /// so the explanation can never drift from the structured trace (answer
+    /// labels are resolved into the trace when the response is built).
+    pub fn explain(&self) -> String {
         self.trace.render()
     }
 }
@@ -654,8 +653,7 @@ mod tests {
     #[test]
     fn explain_traces_every_stage() {
         let r = pipeline().answer("Which book is written by Orhan Pamuk?");
-        let kb = pipeline().kb();
-        let trace = r.explain(kb);
+        let trace = r.explain();
         assert!(trace.contains("§2.1"));
         assert!(trace.contains("rdf:type"));
         assert!(trace.contains("§2.2"));
@@ -667,11 +665,10 @@ mod tests {
 
     #[test]
     fn explain_reports_failures() {
-        let kb = pipeline().kb();
         let r = pipeline().answer("What is the highest mountain?");
-        assert!(r.explain(kb).contains("FAILED"));
+        assert!(r.explain().contains("FAILED"));
         let r = pipeline().answer("Is Frank Herbert still alive?");
-        let trace = r.explain(kb);
+        let trace = r.explain();
         assert!(trace.contains("alive"));
         assert!(trace.contains("MappingFailed"));
     }
@@ -730,7 +727,7 @@ mod tests {
         for plan in &r.trace.plans {
             assert!(plan.trace.cache_hit || !plan.trace.steps.is_empty(), "{plan:?}");
         }
-        let rendered = r.explain(p.kb());
+        let rendered = r.explain();
         assert!(rendered.contains("Query plans (EXPLAIN ANALYZE):"), "{rendered}");
         assert!(r.trace.to_json().to_string().contains("\"plans\""));
     }

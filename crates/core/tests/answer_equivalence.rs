@@ -1,13 +1,16 @@
 //! Property-style seeded sweep over answer extraction (in-tree RNG,
-//! matching the workspace's `proptest` replacement style): sequential,
-//! parallel, early-terminated, exhaustive, and cache-warm execution must
-//! all select the identical `Answer` over randomized candidate sets —
-//! including batches containing failing queries, and batches where every
-//! query fails. Early termination and caching change cost, never answers.
+//! matching the workspace's `proptest` replacement style): early-terminated,
+//! exhaustive, explained and cache-warm execution must all select the
+//! identical `Answer` over randomized candidate sets — including batches
+//! containing failing queries, and batches where every query fails. Early
+//! termination and caching change cost, never answers; plan collection
+//! changes neither.
 
 use relpat_kb::{generate, KbConfig, KnowledgeBase};
 use relpat_obs::Rng;
-use relpat_qa::{extract_answer_traced, AnswerConfig, BuiltQuery, ExpectedType};
+use relpat_qa::{
+    extract_answer_explained, extract_answer_traced, AnswerConfig, BuiltQuery, ExpectedType,
+};
 use std::sync::OnceLock;
 
 fn kb() -> &'static KnowledgeBase {
@@ -47,15 +50,11 @@ fn arb_batch(rng: &mut Rng, pool: &[&str]) -> Vec<BuiltQuery> {
     queries
 }
 
-/// The four execution strategies whose answers must coincide.
-fn configs() -> [AnswerConfig; 4] {
-    let base = AnswerConfig::default(); // sequential, early termination
-    [
-        base.clone(),
-        AnswerConfig { exhaustive: true, ..base.clone() },
-        AnswerConfig { parallel: true, ..base.clone() },
-        AnswerConfig { parallel: true, exhaustive: true, ..base },
-    ]
+/// The two execution strategies whose answers must coincide: ranked early
+/// termination (the default) and the paper's exhaustive sweep.
+fn configs() -> [AnswerConfig; 2] {
+    let base = AnswerConfig::default();
+    [base.clone(), AnswerConfig { exhaustive: true, ..base }]
 }
 
 fn sweep(pool: &[&str], ask: bool, expected: ExpectedType, seed: u64) {
@@ -78,6 +77,13 @@ fn sweep(pool: &[&str], ask: bool, expected: ExpectedType, seed: u64) {
             if reference.is_none() {
                 assert_eq!(stats, ref_stats, "case {case} config {ci}");
             }
+            // The explained path runs the same sweep and only adds plans:
+            // one per executed candidate that parsed.
+            let mut plans = Vec::new();
+            let explained =
+                extract_answer_explained(kb, expected, ask, &queries, config, &mut plans);
+            assert_eq!(explained, (answer, stats), "case {case} config {ci} explained");
+            assert_eq!(plans.len() as u64, stats.executed - stats.failed, "case {case} config {ci}");
         }
         // Cache-warm rerun (every query text now cached in the KB): still
         // the identical answer and the identical stats.

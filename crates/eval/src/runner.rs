@@ -381,7 +381,7 @@ fn assemble_report(
 }
 
 /// Runs the pipeline over the evaluated (non-excluded) questions on one
-/// thread, aggregating each question's trace into the report's [`RunStats`].
+/// thread, aggregating each question's trace into the report's `RunStats`.
 pub fn run_benchmark(pipeline: &Pipeline<'_>, questions: &[QaldQuestion]) -> Report {
     run_benchmark_with(pipeline, questions, 1)
 }

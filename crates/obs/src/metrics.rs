@@ -2,7 +2,7 @@
 //!
 //! All recording goes through relaxed atomics — no locks on the hot path.
 //! Registration (name → handle) takes a mutex once per call site; the
-//! [`counter!`](crate::counter) and [`span!`](crate::span) macros cache the
+//! [`counter!`](crate::counter) and [`span!`](macro@crate::span) macros cache the
 //! handle in a `OnceLock` so steady-state cost is an enabled-flag load plus
 //! the `fetch_add`s. Disabling a registry turns every record into the flag
 //! load alone — cheap enough to leave instrumentation compiled in.
@@ -645,7 +645,7 @@ fn escape_help(text: &str) -> String {
 }
 
 /// The process-wide registry the [`counter!`](crate::counter) and
-/// [`span!`](crate::span) macros record into. Enabled by default.
+/// [`span!`](macro@crate::span) macros record into. Enabled by default.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)

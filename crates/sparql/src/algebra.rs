@@ -5,7 +5,7 @@
 //! (spargebra-style separation: Bgp / Union / LeftJoin / Filter / Slice)
 //! whose BGP leaves carry the planner's decisions — join order, index
 //! estimates, selectivity scores and the join operator per step. The
-//! executor ([`crate::exec`]) interprets this tree; it never re-plans.
+//! executor (the `exec` module) interprets this tree; it never re-plans.
 //!
 //! ## Operator selection
 //!

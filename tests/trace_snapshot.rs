@@ -61,8 +61,8 @@ fn figure1_question_trace_snapshot() {
     assert_eq!(stage_names, ["extract", "map", "build", "answer"]);
 
     // explain() is exactly the trace rendering — they cannot drift.
-    assert_eq!(response.explain(&kb), trace.render());
-    let explanation = response.explain(&kb);
+    assert_eq!(response.explain(), trace.render());
+    let explanation = response.explain();
     for marker in ["§2.1", "§2.2", "§2.3", "Answer", "Timings"] {
         assert!(explanation.contains(marker), "missing {marker} in:\n{explanation}");
     }
