@@ -305,56 +305,6 @@ impl<'kb> Pipeline<'kb> {
         response
     }
 
-    /// Answers a batch of questions, sharding them across scoped worker
-    /// threads (one per available core, capped at 8). Responses come back
-    /// in input order. See [`answer_batch_with`](Self::answer_batch_with).
-    pub fn answer_batch(&self, questions: &[&str]) -> Vec<Response> {
-        let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(4).min(8);
-        self.answer_batch_with(questions, workers)
-    }
-
-    /// Answers a batch of questions on exactly `threads` worker threads
-    /// (1 = the plain sequential loop). Workers claim questions from a
-    /// shared atomic cursor, so a slow question never stalls the rest of
-    /// the batch, and the output is index-aligned with the input.
-    ///
-    /// Each response is identical to what [`answer`](Self::answer) returns
-    /// for that question, with one caveat: the per-question
-    /// `trace.pattern_lookups` attribution samples the shared pattern
-    /// store's counters around the mapping stage, so under concurrency a
-    /// question's delta may include lookups from questions in flight on
-    /// other workers (the totals across the batch remain exact).
-    pub fn answer_batch_with(&self, questions: &[&str], threads: usize) -> Vec<Response> {
-        let threads = threads.max(1).min(questions.len().max(1));
-        if threads == 1 {
-            return questions.iter().map(|q| self.answer(q)).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<Response>> = (0..questions.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut mine: Vec<(usize, Response)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(question) = questions.get(i) else { break };
-                            mine.push((i, self.answer(question)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("batch worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots.into_iter().map(|r| r.expect("every question answered")).collect()
-    }
-
     /// The paper's three-stage pipeline (no extensions), instrumented: each
     /// stage is timed into the global `qa.*` histograms and recorded in the
     /// response's [`QuestionTrace`], and pattern-store lookups during
@@ -682,34 +632,6 @@ mod tests {
         assert_eq!(r.answer_texts(kb), vec!["James Cameron"]);
         let r = pipeline().answer("gibberish blargh");
         assert!(r.answer_texts(kb).is_empty());
-    }
-
-    #[test]
-    fn answer_batch_preserves_order_and_matches_single_answers() {
-        let p = pipeline();
-        let questions = [
-            "Which book is written by Orhan Pamuk?",
-            "What is the capital of Turkey?",
-            "gibberish blargh",
-            "Who directed Titanic?",
-            "How tall is Michael Jordan?",
-        ];
-        let batch = p.answer_batch_with(&questions, 4);
-        assert_eq!(batch.len(), questions.len());
-        for (question, response) in questions.iter().zip(batch.iter()) {
-            let single = p.answer(question);
-            assert_eq!(response.question, *question);
-            assert_eq!(response.stage, single.stage, "{question}");
-            assert_eq!(
-                response.answer.as_ref().map(|a| (&a.value, &a.sparql)),
-                single.answer.as_ref().map(|a| (&a.value, &a.sparql)),
-                "{question}"
-            );
-        }
-        // Degenerate thread counts are fine.
-        assert_eq!(p.answer_batch_with(&questions[..1], 16).len(), 1);
-        assert!(p.answer_batch_with(&[], 4).is_empty());
-        assert_eq!(p.answer_batch(&questions).len(), questions.len());
     }
 
     #[test]

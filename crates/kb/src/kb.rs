@@ -32,9 +32,9 @@ pub struct KnowledgeBase {
     class_by_label: FxHashMap<String, &'static str>,
     page_links: FxHashMap<Iri, FxHashSet<Iri>>,
     /// Shared result cache for [`query`](Self::query). [`Graph`] is
-    /// immutable, so entries never go stale; only code that replaces
-    /// `graph` wholesale must call
-    /// [`invalidate_query_cache`](Self::invalidate_query_cache).
+    /// immutable, so entries never go stale;
+    /// [`invalidate_query_cache`](Self::invalidate_query_cache) exists to
+    /// time cold queries.
     query_cache: QueryCache,
     /// Sublinear candidate index over entity labels and ontology
     /// properties, built once here (see [`crate::lexical`]).
@@ -184,8 +184,8 @@ impl KnowledgeBase {
         (self.query_cache.len(), self.query_cache.capacity())
     }
 
-    /// Drops every cached query result: needed after replacing `graph`, and
-    /// by benchmarks that time cold queries.
+    /// Drops every cached query result, so profiling and benchmarks can
+    /// time cold queries.
     pub fn invalidate_query_cache(&self) {
         self.query_cache.clear();
     }

@@ -17,15 +17,13 @@
 //!   appending one JSON object per line (JSONL) for crash forensics —
 //!   buffered, with [`flush`](EventJournal::flush) called on graceful drain.
 //!
-//! Cost discipline: the enabled flag is a single relaxed atomic load, and
-//! the [`jevent!`](crate::jevent) macro checks it *before* evaluating its
-//! field expressions, so a disabled journal costs one load and zero
-//! allocations at every call site. An enabled emit takes the mutex once to
-//! push into the ring (and write the line when a file is attached).
+//! The journal is always on: every emit takes the mutex once to push into
+//! the ring (and write the line when a file is attached). Call sites emit
+//! at stage boundaries and notable decisions, never per scanned row.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -88,7 +86,6 @@ struct Inner {
 
 /// Bounded structured event sink. See the module docs for the contract.
 pub struct EventJournal {
-    enabled: AtomicBool,
     capacity: usize,
     epoch: Instant,
     seq: AtomicU64,
@@ -102,7 +99,6 @@ impl std::fmt::Debug for EventJournal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventJournal")
             .field("capacity", &self.capacity)
-            .field("enabled", &self.is_enabled())
             .field("seq", &self.seq.load(Relaxed))
             .finish()
     }
@@ -112,29 +108,12 @@ impl EventJournal {
     /// A journal whose ring holds at most `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> Self {
         EventJournal {
-            enabled: AtomicBool::new(true),
             capacity: capacity.max(1),
             epoch: Instant::now(),
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             inner: Mutex::new(Inner::default()),
         }
-    }
-
-    /// A journal that records nothing until re-enabled.
-    pub fn disabled(capacity: usize) -> Self {
-        let j = Self::new(capacity);
-        j.set_enabled(false);
-        j
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Relaxed);
     }
 
     /// Attaches (or replaces) the JSONL file backend. Subsequent events
@@ -146,19 +125,6 @@ impl EventJournal {
         Ok(())
     }
 
-    /// Detaches the file backend (flushing it first). Returns true when a
-    /// backend was attached.
-    pub fn detach_file(&self) -> bool {
-        let mut inner = self.inner.lock().expect("journal lock");
-        match inner.file.take() {
-            Some(mut w) => {
-                let _ = w.flush();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Flushes the file backend, if attached.
     pub fn flush(&self) {
         if let Some(w) = self.inner.lock().expect("journal lock").file.as_mut() {
@@ -166,13 +132,9 @@ impl EventJournal {
         }
     }
 
-    /// Records one event (no-op when disabled). Prefer the
-    /// [`jevent!`](crate::jevent) macro at call sites — it skips field
-    /// construction entirely when the journal is disabled.
+    /// Records one event. Call sites usually go through the
+    /// [`jevent!`](crate::jevent) macro, which targets the global journal.
     pub fn emit(&self, level: Level, stage: &str, fields: Vec<(String, String)>) {
-        if !self.is_enabled() {
-            return;
-        }
         let nanos = self.epoch.elapsed().as_nanos() as u64;
         let stage = stage.to_string();
         let mut inner = self.inner.lock().expect("journal lock");
@@ -223,8 +185,8 @@ impl EventJournal {
 }
 
 /// The process-wide journal the [`jevent!`](crate::jevent) macro emits
-/// into. Ring capacity 4096, enabled by default (ring-only; attach a file
-/// backend explicitly for flight recording).
+/// into. Ring capacity 4096, ring-only until a file backend is attached
+/// for flight recording.
 pub fn global_journal() -> &'static EventJournal {
     static GLOBAL: OnceLock<EventJournal> = OnceLock::new();
     GLOBAL.get_or_init(|| EventJournal::new(4096))
@@ -232,15 +194,15 @@ pub fn global_journal() -> &'static EventJournal {
 
 /// Emits a structured event into the global journal:
 /// `jevent!(Level::Info, "qa.answer", "executed" => 3, "built" => 51)`.
-/// Field values go through `Display`. When the journal is disabled the
-/// field expressions are never evaluated.
+/// Field values go through `Display`.
 #[macro_export]
 macro_rules! jevent {
     ($level:expr, $stage:expr $(, $k:literal => $v:expr)* $(,)?) => {{
-        let journal = $crate::journal::global_journal();
-        if journal.is_enabled() {
-            journal.emit($level, $stage, vec![$(($k.to_string(), $v.to_string())),*]);
-        }
+        $crate::journal::global_journal().emit(
+            $level,
+            $stage,
+            vec![$(($k.to_string(), $v.to_string())),*],
+        );
     }};
 }
 
@@ -282,17 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_journal_records_nothing() {
-        let j = EventJournal::disabled(8);
-        j.emit(Level::Error, "x", Vec::new());
-        assert!(j.is_empty());
-        assert_eq!(j.emitted(), 0);
-        j.set_enabled(true);
-        j.emit(Level::Error, "x", Vec::new());
-        assert_eq!(j.len(), 1);
-    }
-
-    #[test]
     fn json_rendering_round_trips() {
         let j = EventJournal::new(4);
         j.emit(
@@ -329,10 +280,6 @@ mod tests {
             let v = Json::parse(line).expect("each line is one JSON object");
             assert_eq!(v.get("seq").and_then(Json::as_u64), Some(i as u64 + 1));
         }
-        assert!(j.detach_file());
-        assert!(!j.detach_file());
-        j.emit(Level::Info, "s", Vec::new());
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 5);
         let _ = std::fs::remove_file(&path);
     }
 

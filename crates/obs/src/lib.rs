@@ -9,9 +9,8 @@
 //!
 //! - [`MetricsRegistry`] — thread-safe named [`Counter`]s, point-in-time
 //!   [`Gauge`]s (store/cache health levels) and log-scale latency
-//!   [`Histogram`]s (p50/p90/p99 extraction), built on relaxed atomics. A
-//!   disabled registry short-circuits every record call to a no-op without
-//!   allocating (gauges stay live — health must not lie).
+//!   [`Histogram`]s (p50/p90/p99 extraction), built on relaxed atomics.
+//!   Registries are always on and append-only.
 //! - [`Span`] / [`span!`] — RAII stage timers recording monotonic-clock
 //!   durations into a histogram on drop.
 //! - [`QuestionTrace`] — the per-question pipeline trace: extracted triple
@@ -47,11 +46,11 @@
 //!
 //! ## Overhead
 //!
-//! Enabled-path cost per record is one relaxed atomic load (the enabled
-//! flag) plus 1–3 relaxed `fetch_add`s; handle lookup is done once per call
+//! Cost per record is 1–3 relaxed `fetch_add`s (plus a `fetch_min`/
+//! `fetch_max` pair for histograms); handle lookup is done once per call
 //! site (cached in a `OnceLock` by the [`counter!`]/[`span!`] macros).
-//! Disabled-path cost is the single relaxed load. Nothing allocates after
-//! handle creation, so instrumentation is cheap enough to leave on.
+//! Nothing allocates after handle creation, so instrumentation stays on;
+//! the `obs_overhead` bench measures it against an empty loop.
 
 pub mod fx;
 pub mod journal;

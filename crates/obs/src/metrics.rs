@@ -3,11 +3,11 @@
 //! All recording goes through relaxed atomics — no locks on the hot path.
 //! Registration (name → handle) takes a mutex once per call site; the
 //! [`counter!`](crate::counter) and [`span!`](macro@crate::span) macros cache the
-//! handle in a `OnceLock` so steady-state cost is an enabled-flag load plus
-//! the `fetch_add`s. Disabling a registry turns every record into the flag
-//! load alone — cheap enough to leave instrumentation compiled in.
+//! handle in a `OnceLock` so steady-state cost is the relaxed atomic updates alone.
+//! Registries are always on and append-only: metrics are registered on
+//! first use and only ever accumulate.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
@@ -141,46 +141,19 @@ impl HistogramCell {
             buckets: cumulative,
         }
     }
-
-    fn reset(&self) {
-        self.count.store(0, Relaxed);
-        self.sum.store(0, Relaxed);
-        self.min.store(u64::MAX, Relaxed);
-        self.max.store(0, Relaxed);
-        for b in &self.buckets {
-            b.store(0, Relaxed);
-        }
-    }
-
-    /// Folds another cell's observations into this one: count/sum/buckets
-    /// add, min/max take the extremum. Both layouts are identical by
-    /// construction ([`BUCKETS`]). An empty `other` carries the `u64::MAX`
-    /// min sentinel, which `fetch_min` leaves inert.
-    fn merge_from(&self, other: &HistogramCell) {
-        self.count.fetch_add(other.count.load(Relaxed), Relaxed);
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            dst.fetch_add(src.load(Relaxed), Relaxed);
-        }
-    }
 }
 
 /// Cheap cloneable handle to a registered counter.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     cell: Arc<CounterCell>,
 }
 
 impl Counter {
-    /// Adds `n`; a single relaxed `fetch_add` (no-op when disabled).
+    /// Adds `n`; a single relaxed `fetch_add`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Relaxed) {
-            self.cell.value.fetch_add(n, Relaxed);
-        }
+        self.cell.value.fetch_add(n, Relaxed);
     }
 
     /// Increments by one.
@@ -200,12 +173,8 @@ impl Counter {
 }
 
 /// Cheap cloneable handle to a registered gauge: a point-in-time value
-/// (occupancy, capacity, store size) rather than a monotone count.
-///
-/// Unlike counters, gauge writes are **not** gated by the registry's
-/// enabled flag: a gauge states current system health, and a health
-/// endpoint that silently reports zero because profiling was switched off
-/// would be worse than the one relaxed store it saves.
+/// (occupancy, capacity, store size) rather than a monotone count. The
+/// only metric that can go down: counters and histograms only accumulate.
 #[derive(Debug, Clone)]
 pub struct Gauge {
     cell: Arc<GaugeCell>,
@@ -243,24 +212,14 @@ impl Gauge {
 /// Cheap cloneable handle to a registered histogram.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     cell: Arc<HistogramCell>,
 }
 
 impl Histogram {
-    /// Records one observation (no-op when disabled).
+    /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if self.enabled.load(Relaxed) {
-            self.cell.record(value);
-        }
-    }
-
-    /// True when recording is live (used by [`Span`](crate::Span) to skip
-    /// the clock read entirely).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
+        self.cell.record(value);
     }
 
     /// Point-in-time percentile summary.
@@ -306,13 +265,12 @@ impl HistogramSummary {
     }
 }
 
-/// Registry of named counters and histograms.
+/// Registry of named counters, gauges and histograms.
 ///
-/// Handles returned by [`counter`](Self::counter)/[`histogram`](Self::histogram)
-/// stay valid for the registry's lifetime and share its enabled flag.
+/// Handles returned by [`counter`](Self::counter)/[`gauge`](Self::gauge)/
+/// [`histogram`](Self::histogram) stay valid for the registry's lifetime.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     counters: Mutex<Vec<Arc<CounterCell>>>,
     gauges: Mutex<Vec<Arc<GaugeCell>>>,
     histograms: Mutex<Vec<Arc<HistogramCell>>>,
@@ -325,30 +283,13 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry.
+    /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry {
-            enabled: Arc::new(AtomicBool::new(true)),
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A registry whose every record call is a no-op (the zero-overhead
-    /// "off" configuration).
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.set_enabled(false);
-        r
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
     }
 
     /// Handle to the named counter, registering it on first use.
@@ -363,7 +304,7 @@ impl MetricsRegistry {
                 cell
             }
         };
-        Counter { enabled: Arc::clone(&self.enabled), cell }
+        Counter { cell }
     }
 
     /// Handle to the named gauge, registering it on first use.
@@ -392,7 +333,7 @@ impl MetricsRegistry {
                 cell
             }
         };
-        Histogram { enabled: Arc::clone(&self.enabled), cell }
+        Histogram { cell }
     }
 
     /// RAII timer recording into the named histogram on drop.
@@ -449,54 +390,6 @@ impl MetricsRegistry {
         MetricsSnapshot { counters, gauges, histograms }
     }
 
-    /// Folds every metric of `other` into this registry: counters add by
-    /// name, histograms add bucket-wise (max takes the larger observation).
-    /// Metrics only present in `other` are registered here on the fly.
-    ///
-    /// This is how per-worker registries from a parallel run collapse into
-    /// one report: each worker records into its own (contention-free)
-    /// registry, and the coordinator merges them afterwards. The merge
-    /// bypasses the enabled flag — a disabled coordinator registry still
-    /// absorbs worker data faithfully. Merging a registry into itself is a
-    /// no-op.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        if std::ptr::eq(self, other) {
-            return;
-        }
-        let other_counters: Vec<Arc<CounterCell>> =
-            other.counters.lock().expect("metrics lock").clone();
-        for src in other_counters {
-            let dst = self.counter(&src.name);
-            dst.cell.value.fetch_add(src.value.load(Relaxed), Relaxed);
-        }
-        // Gauges are point-in-time levels, not accumulations — adding two
-        // workers' occupancy would double-count shared state. The merged
-        // view keeps the largest reported level (high-water semantics).
-        let other_gauges: Vec<Arc<GaugeCell>> = other.gauges.lock().expect("metrics lock").clone();
-        for src in other_gauges {
-            let dst = self.gauge(&src.name);
-            dst.cell.value.fetch_max(src.value.load(Relaxed), Relaxed);
-        }
-        let other_histograms: Vec<Arc<HistogramCell>> =
-            other.histograms.lock().expect("metrics lock").clone();
-        for src in other_histograms {
-            let dst = self.histogram(&src.name);
-            dst.cell.merge_from(&src);
-        }
-    }
-
-    /// Zeroes every metric (keeps registrations and handles alive).
-    pub fn reset(&self) {
-        for c in self.counters.lock().expect("metrics lock").iter() {
-            c.value.store(0, Relaxed);
-        }
-        for g in self.gauges.lock().expect("metrics lock").iter() {
-            g.value.store(0, Relaxed);
-        }
-        for h in self.histograms.lock().expect("metrics lock").iter() {
-            h.reset();
-        }
-    }
 }
 
 /// Point-in-time copy of a registry's metrics.
@@ -645,7 +538,7 @@ fn escape_help(text: &str) -> String {
 }
 
 /// The process-wide registry the [`counter!`](crate::counter) and
-/// [`span!`](macro@crate::span) macros record into. Enabled by default.
+/// [`span!`](macro@crate::span) macros record into.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)
@@ -792,23 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let r = MetricsRegistry::disabled();
-        let c = r.counter("c");
-        let h = r.histogram("h");
-        c.add(5);
-        h.record(100);
-        assert_eq!(c.value(), 0);
-        assert_eq!(h.summary().count, 0);
-        // Re-enabling makes the same handles live.
-        r.set_enabled(true);
-        c.add(5);
-        h.record(100);
-        assert_eq!(c.value(), 5);
-        assert_eq!(h.summary().count, 1);
-    }
-
-    #[test]
     fn handles_are_shared_by_name() {
         let r = MetricsRegistry::new();
         let a = r.counter("same");
@@ -820,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_reset() {
+    fn snapshot_reads_counters_and_histograms() {
         let r = MetricsRegistry::new();
         r.counter("a").add(3);
         r.histogram("h").record(7);
@@ -829,69 +705,6 @@ mod tests {
         assert_eq!(snap.histogram("h").unwrap().count, 1);
         let json = snap.to_json().to_string();
         assert!(json.contains("\"a\":3"), "{json}");
-        r.reset();
-        assert_eq!(r.counter_value("a"), 0);
-        assert_eq!(r.histogram("h").summary().count, 0);
-    }
-
-    #[test]
-    fn merge_from_adds_counters_and_histograms() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.counter("shared").add(3);
-        b.counter("shared").add(4);
-        b.counter("only_b").add(7);
-        for v in [10u64, 20, 30] {
-            a.histogram("lat").record(v);
-        }
-        for v in [1_000u64, 2_000] {
-            b.histogram("lat").record(v);
-        }
-        b.histogram("only_b.lat").record(5);
-
-        a.merge_from(&b);
-        assert_eq!(a.counter_value("shared"), 7);
-        assert_eq!(a.counter_value("only_b"), 7);
-        let lat = a.histogram("lat").summary();
-        assert_eq!(lat.count, 5);
-        assert_eq!(lat.sum, 3_060);
-        assert_eq!(lat.max, 2_000);
-        assert_eq!(a.histogram("only_b.lat").summary().count, 1);
-        // The source registry is left untouched.
-        assert_eq!(b.counter_value("shared"), 4);
-        assert_eq!(b.histogram("lat").summary().count, 2);
-    }
-
-    #[test]
-    fn merge_preserves_percentiles_of_the_union() {
-        // Merging k disjoint registries must equal recording everything
-        // into one — bucket-wise addition keeps the percentile structure.
-        let merged = MetricsRegistry::new();
-        let reference = MetricsRegistry::new();
-        for part in 0..4u64 {
-            let worker = MetricsRegistry::new();
-            for i in 0..250u64 {
-                let v = part * 250 + i + 1; // 1..=1000 overall
-                worker.histogram("lat").record(v);
-                reference.histogram("lat").record(v);
-            }
-            merged.merge_from(&worker);
-        }
-        let m = merged.histogram("lat").summary();
-        let r = reference.histogram("lat").summary();
-        assert_eq!((m.count, m.sum, m.max), (r.count, r.sum, r.max));
-        assert_eq!((m.p50, m.p90, m.p99), (r.p50, r.p90, r.p99));
-    }
-
-    #[test]
-    fn merge_bypasses_disabled_flag_and_self_merge_is_noop() {
-        let dst = MetricsRegistry::disabled();
-        let src = MetricsRegistry::new();
-        src.counter("c").add(9);
-        dst.merge_from(&src);
-        assert_eq!(dst.counter_value("c"), 9);
-        dst.merge_from(&dst);
-        assert_eq!(dst.counter_value("c"), 9);
     }
 
     #[test]
@@ -904,18 +717,10 @@ mod tests {
         let s = h.summary();
         assert_eq!((s.min, s.max), (3, 40_000));
         assert!(s.to_json().to_string().contains("\"min\":3"));
-        // Merge takes the smaller min; an empty source leaves it alone.
-        let other = MetricsRegistry::new();
-        other.histogram("lat").record(1);
-        r.merge_from(&other);
-        assert_eq!(r.histogram("lat").summary().min, 1);
-        r.merge_from(&MetricsRegistry::new());
-        assert_eq!(r.histogram("lat").summary().min, 1);
-        // Reset restores the empty sentinel (reported as 0).
-        r.reset();
-        assert_eq!(r.histogram("lat").summary().min, 0);
-        r.histogram("lat").record(9);
-        assert_eq!(r.histogram("lat").summary().min, 9);
+        // The empty sentinel reports as 0 and gives way to the first observation.
+        assert_eq!(r.histogram("first").summary().min, 0);
+        r.histogram("first").record(9);
+        assert_eq!(r.histogram("first").summary().min, 9);
     }
 
     #[test]
@@ -1032,37 +837,9 @@ mod tests {
         let json = snap.to_json().to_string();
         assert!(json.contains("\"gauges\""), "{json}");
         assert!(json.contains("\"sparql.cache.len\":42"), "{json}");
-        // Same-name handles share the cell; reset zeroes but keeps them.
+        // Same-name handles share the cell.
         r.gauge("sparql.cache.len").set(7);
         assert_eq!(g.value(), 7);
-        r.reset();
-        assert_eq!(g.value(), 0);
-    }
-
-    #[test]
-    fn gauge_writes_survive_disabled_registry() {
-        // Health gauges must stay truthful even when profiling is off.
-        let r = MetricsRegistry::disabled();
-        let g = r.gauge("cache.len");
-        g.set(9);
-        assert_eq!(r.gauge_value("cache.len"), 9);
-    }
-
-    #[test]
-    fn merge_takes_gauge_high_water() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.gauge("held").set(10);
-        b.gauge("held").set(25);
-        b.gauge("only_b").set(3);
-        a.merge_from(&b);
-        assert_eq!(a.gauge_value("held"), 25);
-        assert_eq!(a.gauge_value("only_b"), 3);
-        // Merging a smaller level does not regress the high-water mark.
-        let c = MetricsRegistry::new();
-        c.gauge("held").set(1);
-        a.merge_from(&c);
-        assert_eq!(a.gauge_value("held"), 25);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! RAII stage timers.
 //!
 //! A [`Span`] reads the monotonic clock when created and records the
-//! elapsed nanoseconds into its histogram when dropped. When the owning
-//! registry is disabled the clock is never read at all — the guard is inert.
+//! elapsed nanoseconds into its histogram when dropped (or once, on
+//! [`finish`](Span::finish)).
 //!
 //! Spans created by the [`span!`](macro@crate::span) macro additionally carry an
 //! interned profiler tag: while the [`prof`] sampler is
@@ -21,8 +21,9 @@ use crate::prof::{self, StackGuard, TagId};
 /// [`MetricsRegistry::span`](crate::MetricsRegistry::span).
 #[derive(Debug)]
 pub struct Span {
-    start: Option<Instant>,
-    histogram: Histogram,
+    start: Instant,
+    /// Taken by [`finish`](Self::finish), so the drop does not record twice.
+    histogram: Option<Histogram>,
     /// Profiler tag-stack guard; pops (restores the saved depth) when the
     /// span drops — declared after `histogram` so the pop happens after the
     /// duration is recorded, keeping pop order identical to record order.
@@ -30,10 +31,9 @@ pub struct Span {
 }
 
 impl Span {
-    /// Starts timing into `histogram` (inert if its registry is disabled).
+    /// Starts timing into `histogram`.
     pub fn from_handle(histogram: Histogram) -> Self {
-        let start = if histogram.is_enabled() { Some(Instant::now()) } else { None };
-        Span { start, histogram, _prof: None }
+        Span { start: Instant::now(), histogram: Some(histogram), _prof: None }
     }
 
     /// Starts timing and pushes `tag` on the profiler's thread stack while
@@ -41,21 +41,20 @@ impl Span {
     /// both handles once per call site and comes through here.
     pub fn from_handle_tagged(histogram: Histogram, tag: TagId) -> Self {
         let prof = prof::push(tag);
-        let start = if histogram.is_enabled() { Some(Instant::now()) } else { None };
-        Span { start, histogram, _prof: prof }
+        Span { start: Instant::now(), histogram: Some(histogram), _prof: prof }
     }
 
-    /// Nanoseconds elapsed so far (0 when inert).
+    /// Nanoseconds elapsed so far.
     pub fn elapsed_nanos(&self) -> u64 {
-        self.start.map_or(0, |s| s.elapsed().as_nanos() as u64)
+        self.start.elapsed().as_nanos() as u64
     }
 
     /// Stops the timer, records, and returns the elapsed nanoseconds.
     /// Equivalent to dropping, but hands back the measurement.
     pub fn finish(mut self) -> u64 {
         let nanos = self.elapsed_nanos();
-        if self.start.take().is_some() {
-            self.histogram.record(nanos);
+        if let Some(histogram) = self.histogram.take() {
+            histogram.record(nanos);
         }
         nanos
     }
@@ -63,8 +62,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.histogram.record(start.elapsed().as_nanos() as u64);
+        if let Some(histogram) = self.histogram.take() {
+            histogram.record(self.elapsed_nanos());
         }
     }
 }
@@ -93,16 +92,5 @@ mod tests {
         let s = r.histogram("stage.y").summary();
         assert_eq!(s.count, 1);
         assert!(s.max <= nanos.max(1));
-    }
-
-    #[test]
-    fn disabled_span_is_inert() {
-        let r = MetricsRegistry::disabled();
-        let g = r.span("stage.z");
-        assert_eq!(g.elapsed_nanos(), 0);
-        assert_eq!(g.finish(), 0);
-        drop(r.span("stage.z"));
-        r.set_enabled(true);
-        assert_eq!(r.histogram("stage.z").summary().count, 0);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The listener runs non-blocking and is polled against the shared
 //! shutdown flag. Accepted connections go through an mpsc channel to a
-//! fixed pool of worker threads (the same bounded-fan-out discipline as
-//! `Pipeline::answer_batch`, but long-lived since connections arrive
-//! forever). On shutdown the accept loop stops taking connections, drops
+//! fixed pool of long-lived worker threads — the only place relpat answers
+//! questions concurrently. On shutdown the accept loop stops taking connections, drops
 //! the channel sender, and the workers drain whatever was already
 //! accepted before exiting — in-flight requests always complete. The
 //! journal is flushed last so the drain itself is on the flight record.

@@ -102,11 +102,6 @@ impl GraphPattern {
             opt.collect_variables(vars);
         }
     }
-
-    /// True when the pattern is a plain BGP + filters (no algebra).
-    pub fn is_flat(&self) -> bool {
-        self.optionals.is_empty() && self.unions.is_empty()
-    }
 }
 
 /// A triple pattern: any position may be a variable (`Term::Variable`).

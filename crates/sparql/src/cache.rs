@@ -9,13 +9,13 @@
 //! single execution. A side table maps each raw text spelling to its
 //! canonical key, so repeat lookups of a known spelling skip the parser
 //! entirely. A hit returns a clone of the stored [`QueryResult`] without
-//! touching the executor; a miss parses, executes, and (on success only)
-//! stores the parsed [`Query`] AST alongside the result. Failures are never
-//! cached — a malformed query re-reports its error on every attempt.
+//! touching the executor; a miss parses, executes the AST it just parsed,
+//! and (on success only) stores the result. Failures are never cached — a
+//! malformed query re-reports its error on every attempt.
 //!
-//! The cache assumes the graph it serves is immutable for its lifetime
-//! (the knowledge-base graphs are built once and then only read). Callers
-//! that do mutate the graph must [`clear`](QueryCache::clear) afterwards.
+//! The graph it serves is immutable (built once, then only read), so an
+//! entry never goes stale. [`clear`](QueryCache::clear) exists to measure
+//! cold queries, not to invalidate.
 //!
 //! Concurrency: a single mutex guards the map, but it is held only for the
 //! lookup/insert bookkeeping — parsing and execution run outside the lock,
@@ -69,10 +69,6 @@ impl CacheStats {
 
 #[derive(Debug)]
 struct Entry {
-    /// The parsed AST — kept so a future re-execution (e.g. after
-    /// [`QueryCache::clear`]) can skip the parser, and so the cache is the
-    /// single place that owns the text → AST association.
-    parsed: Query,
     result: QueryResult,
     /// Monotonic recency stamp (higher = more recently used).
     last_used: u64,
@@ -89,7 +85,7 @@ struct Inner {
 }
 
 /// Bounded query-text → result cache. See the module docs for the
-/// concurrency and invalidation contract.
+/// concurrency contract.
 #[derive(Debug)]
 pub struct QueryCache {
     inner: Mutex<Inner>,
@@ -128,7 +124,7 @@ impl QueryCache {
             Ok(Lookup::Miss { canon, parsed }) => {
                 self.miss();
                 let result = execute(graph, &parsed)?;
-                self.insert(text, canon, parsed, result.clone());
+                self.insert(text, canon, result.clone());
                 Ok(result)
             }
             Err(e) => {
@@ -158,7 +154,7 @@ impl QueryCache {
             Ok(Lookup::Miss { canon, parsed }) => {
                 self.miss();
                 let (result, trace) = execute_traced(graph, &parsed)?;
-                self.insert(text, canon, parsed, result.clone());
+                self.insert(text, canon, result.clone());
                 Ok((result, trace))
             }
             Err(e) => {
@@ -166,14 +162,6 @@ impl QueryCache {
                 Err(e)
             }
         }
-    }
-
-    /// The cached parsed AST for `text` (any known spelling), if present.
-    /// Does not touch the LRU recency stamp or the hit/miss totals.
-    pub fn parsed(&self, text: &str) -> Option<Query> {
-        let inner = self.inner.lock().expect("cache lock");
-        let canon = inner.alias.get(text)?;
-        inner.map.get(canon.as_str()).map(|e| e.parsed.clone())
     }
 
     /// Cumulative hit/miss totals.
@@ -195,8 +183,9 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Drops every entry and spelling alias (hit/miss totals are kept).
-    /// Required after any mutation of the graph this cache serves.
+    /// Drops every entry and spelling alias (hit/miss totals are kept), so
+    /// the next lookup of each query runs cold — how profiling times the
+    /// executor rather than the cache.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.map.clear();
@@ -243,7 +232,7 @@ impl QueryCache {
         Ok(Lookup::Miss { canon, parsed })
     }
 
-    fn insert(&self, text: &str, canon: String, parsed: Query, result: QueryResult) {
+    fn insert(&self, text: &str, canon: String, result: QueryResult) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -266,7 +255,7 @@ impl QueryCache {
             );
         }
         Self::register_alias(alias, capacity, text, &canon);
-        map.insert(canon, Entry { parsed, result, last_used: tick });
+        map.insert(canon, Entry { result, last_used: tick });
     }
 
     /// Records `text` as a spelling of `canon`. The alias table is bounded
@@ -288,8 +277,8 @@ impl QueryCache {
     }
 }
 
-/// Outcome of [`QueryCache::lookup`]: a cached result, or the parsed parts
-/// the caller needs to execute and insert.
+/// Outcome of [`QueryCache::lookup`]: a cached result, or the parsed query
+/// the caller executes and its canonical key to insert under.
 enum Lookup {
     Hit(QueryResult),
     Miss { canon: String, parsed: Query },
@@ -409,16 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn stores_the_parsed_ast_alongside_the_result() {
-        let g = graph();
-        let cache = QueryCache::new(8);
-        let text = "SELECT ?x WHERE { ?x rdf:type dbont:Book . }";
-        assert!(cache.parsed(text).is_none());
-        cache.query(&g, text).unwrap();
-        assert_eq!(cache.parsed(text), Some(crate::parser::parse_query(text).unwrap()));
-    }
-
-    #[test]
     fn traced_queries_share_cache_state_and_flag_hits() {
         let g = graph();
         let cache = QueryCache::new(8);
@@ -456,9 +435,6 @@ mod tests {
             CacheStats { hits: 2, misses: 1 },
             "only the first spelling executes; the others hit via the canonical key"
         );
-        // Each spelling now resolves its AST without a fresh parse.
-        assert_eq!(cache.parsed(b), cache.parsed(a));
-        assert!(cache.parsed(b).is_some());
     }
 
     #[test]

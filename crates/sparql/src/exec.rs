@@ -56,22 +56,6 @@ impl QueryResult {
             }
         }
     }
-
-    /// Borrowing view of the solutions, `None` on an `ASK` result.
-    pub fn as_solutions(&self) -> Option<&Solutions> {
-        match self {
-            QueryResult::Solutions(s) => Some(s),
-            QueryResult::Boolean(_) => None,
-        }
-    }
-
-    /// The boolean of an `ASK`, `None` on a `SELECT` result.
-    pub fn as_boolean(&self) -> Option<bool> {
-        match self {
-            QueryResult::Boolean(b) => Some(*b),
-            QueryResult::Solutions(_) => None,
-        }
-    }
 }
 
 /// Executes a parsed query against a graph.

@@ -14,6 +14,19 @@ fn full_stack_is_deterministic() {
         let pipeline = Pipeline::new(&kb);
         let questions = qald_questions(&kb);
         let report = run_benchmark(&pipeline, &questions);
+        // Run-local aggregates only: the process-global deltas
+        // (`planner.misestimates`, `sparql.join.*`, `prof.*`) also see the
+        // other tests in this binary, which run concurrently.
+        let run_local = ["queries.", "qa.plan.", "patterns.", "sparql.cache.", "map.index."];
+        let counters: Vec<(String, u64)> = report
+            .stats
+            .counters
+            .iter()
+            .filter(|(name, _)| run_local.iter().any(|prefix| name.starts_with(prefix)))
+            .cloned()
+            .collect();
+        let stage_counts: Vec<(String, u64)> =
+            report.stats.stage_latencies.iter().map(|h| (h.name.clone(), h.count)).collect();
         (
             kb.len(),
             report.counts,
@@ -22,6 +35,8 @@ fn full_stack_is_deterministic() {
                 .iter()
                 .map(|r| (r.id, r.answered, r.correct, r.answer.clone()))
                 .collect::<Vec<_>>(),
+            counters,
+            stage_counts,
         )
     };
     let a = run();
@@ -29,6 +44,11 @@ fn full_stack_is_deterministic() {
     assert_eq!(a.0, b.0, "KB size must be seed-stable");
     assert_eq!(a.1, b.1, "Table-2 counts must be seed-stable");
     assert_eq!(a.2, b.2, "per-question outcomes must be seed-stable");
+    assert_eq!(a.3.len(), 16, "every run-local counter is reported: {:?}", a.3);
+    assert!(a.3.iter().any(|(name, v)| name == "sparql.cache.misses" && *v > 0));
+    assert_eq!(a.3, b.3, "run-local aggregate counters must be seed-stable");
+    assert!(!a.4.is_empty() && a.4.iter().all(|(_, n)| *n > 0), "{:?}", a.4);
+    assert_eq!(a.4, b.4, "every stage histogram must see the same sample count");
 }
 
 #[test]
